@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet fmt race fuzz chaos ci determinism shards metrics-golden spans-golden golden offbench-bin bench bench-micro bench-json bench-gate bench-full results examples serve loadtest serve-smoke docker clean
+.PHONY: all build test vet fmt race fuzz chaos ci perfbench determinism shards metrics-golden spans-golden golden offbench-bin bench bench-micro bench-json bench-gate bench-full results examples serve loadtest serve-smoke docker clean
 
 # The offbench binary shared by the determinism and golden targets; built
 # once per make invocation instead of once per target.
@@ -49,7 +49,13 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/dag/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
-ci: build vet fmt test race fuzz determinism metrics-golden spans-golden serve-smoke
+ci: build vet perfbench fmt test race fuzz determinism metrics-golden spans-golden serve-smoke
+
+# The benchmark driver is its own module (perfbench/go.mod), which the
+# root build and vet skip: build and vet it so API changes it compiles
+# against fail here instead of at benchmark time.
+perfbench:
+	cd perfbench && $(GO) build -o /dev/null ./... && $(GO) vet ./...
 
 # Build the offbench binary the golden targets share.
 offbench-bin:

@@ -73,6 +73,9 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	if *traceFlag != "" {
+		sys.EnableRecords()
+	}
 
 	if *replayFlag != "" {
 		f, err := os.Open(*replayFlag)

@@ -82,12 +82,13 @@ func TestPlanMatchesDeployedReality(t *testing.T) {
 }
 
 // TestTraceRoundTripMatchesStats records a run, serialises it, reads it
-// back and checks the summary agrees with the scheduler's own statistics.
+// back and checks the records sum to the scheduler's own statistics.
 func TestTraceRoundTripMatchesStats(t *testing.T) {
 	sys, err := offload.NewSystem(offload.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.EnableRecords()
 	gen, err := offload.StandardMix(sys.Src.Split())
 	if err != nil {
 		t.Fatal(err)
@@ -103,19 +104,34 @@ func TestTraceRoundTripMatchesStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary := trace.Summarize(records)
+	var missed, completed int
+	var costUSD, completionS float64
+	for _, r := range records {
+		costUSD += r.CostUSD
+		if r.Failed {
+			continue
+		}
+		completed++
+		completionS += r.CompletionS()
+		if r.Missed {
+			missed++
+		}
+	}
 	st := sys.Stats()
-	if uint64(summary.Tasks) != st.Total() {
-		t.Fatalf("trace has %d tasks, stats %d", summary.Tasks, st.Total())
+	if uint64(len(records)) != st.Total() {
+		t.Fatalf("trace has %d tasks, stats %d", len(records), st.Total())
 	}
-	if uint64(summary.Missed) != st.Missed {
-		t.Fatalf("trace misses %d, stats %d", summary.Missed, st.Missed)
+	if uint64(missed) != st.Missed {
+		t.Fatalf("trace misses %d, stats %d", missed, st.Missed)
 	}
-	if math.Abs(summary.TotalCostUSD-st.CostUSD) > 1e-12 {
-		t.Fatalf("trace cost $%g, stats $%g", summary.TotalCostUSD, st.CostUSD)
+	if math.Abs(costUSD-st.CostUSD) > 1e-12 {
+		t.Fatalf("trace cost $%g, stats $%g", costUSD, st.CostUSD)
 	}
-	if math.Abs(summary.MeanCompletion-st.MeanCompletion()) > 1e-9 {
-		t.Fatalf("trace mean %g, stats %g", summary.MeanCompletion, st.MeanCompletion())
+	if completed == 0 {
+		t.Fatal("trace has no completed tasks")
+	}
+	if mean := completionS / float64(completed); math.Abs(mean-st.MeanCompletion()) > 1e-9 {
+		t.Fatalf("trace mean %g, stats %g", mean, st.MeanCompletion())
 	}
 }
 
@@ -134,6 +150,7 @@ func TestTraceReplayReproducesWorkload(t *testing.T) {
 		return sys
 	}
 	first := build()
+	first.EnableRecords()
 	gen, err := workload.StandardMix(first.Src.Split())
 	if err != nil {
 		t.Fatal(err)

@@ -30,6 +30,7 @@ import (
 	"offload/internal/rng"
 	"offload/internal/sched"
 	"offload/internal/sim"
+	"offload/internal/trace"
 )
 
 // Config is the Adapt block of core.Config: reward shaping for the bandit
@@ -108,14 +109,7 @@ func DefaultConfig() Config {
 	}.withDefaults()
 }
 
-// Tracer receives the controller's control-plane events. It is
-// implemented by *trace.SpanRecorder; implementations must be passive
-// (record only — the controller behaves identically with or without one).
-type Tracer interface {
-	AdaptEvent(kind, subject string, at sim.Time)
-}
-
-// Control-plane event kinds emitted through the Tracer.
+// Control-plane event kinds emitted to the span recorder.
 const (
 	EventDriftReset = "drift_reset" // detector fired; subject = backend
 	EventResize     = "resize"      // tuner re-deployed; subject = app
@@ -136,7 +130,7 @@ type Controller struct {
 	adm    *admission   // nil unless Admission
 	drift  map[model.Placement]*PageHinkley
 
-	tr Tracer
+	tr *trace.SpanRecorder
 
 	decisions    map[model.Placement]uint64
 	last         model.Placement
@@ -200,8 +194,10 @@ func newController(cfg Config, name string) *Controller {
 	return c
 }
 
-// SetTracer attaches (or detaches, with nil) the control-plane event sink.
-func (c *Controller) SetTracer(t Tracer) { c.tr = t }
+// SetTracer attaches (or detaches, with nil) the span recorder that
+// receives the controller's control-plane events. The recorder is passive:
+// the controller behaves identically with or without one.
+func (c *Controller) SetTracer(t *trace.SpanRecorder) { c.tr = t }
 
 // Name implements sched.Policy.
 func (c *Controller) Name() string { return c.name }

@@ -12,6 +12,7 @@ import (
 	"offload/internal/sched"
 	"offload/internal/serverless"
 	"offload/internal/sim"
+	"offload/internal/trace"
 )
 
 // --- Page–Hinkley -----------------------------------------------------
@@ -330,12 +331,16 @@ func TestTunerIgnoresNonServerlessAndFailures(t *testing.T) {
 
 // --- controller -------------------------------------------------------
 
-type fakeTracer struct {
-	events []string
-}
-
-func (f *fakeTracer) AdaptEvent(kind, subject string, _ sim.Time) {
-	f.events = append(f.events, kind+":"+subject)
+// adaptEvents lists the recorder's adaptive-layer event spans as
+// "kind:subject", in recording order.
+func adaptEvents(rec *trace.SpanRecorder) []string {
+	var events []string
+	for _, sp := range rec.Set().Spans {
+		if sp.Name == trace.EventAdapt {
+			events = append(events, sp.Status+":"+sp.Backend)
+		}
+	}
+	return events
 }
 
 func testEnv(t *testing.T) *sched.Env {
@@ -394,7 +399,7 @@ func TestControllerDriftResetClearsArmAndTraces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &fakeTracer{}
+	tr := trace.NewSpanRecorder()
 	c.SetTracer(tr)
 	env := testEnv(t)
 
@@ -419,14 +424,8 @@ func TestControllerDriftResetClearsArmAndTraces(t *testing.T) {
 		t.Fatalf("arms cleared = %d, want 1", c.ArmsCleared())
 	}
 	want := EventDriftReset + ":edge"
-	found := false
-	for _, e := range tr.events {
-		if e == want {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("tracer events %v missing %q", tr.events, want)
+	if events := adaptEvents(tr); len(events) != 1 || events[0] != want {
+		t.Fatalf("tracer events %q, want [%q]", events, want)
 	}
 	// The reset wiped the arm's history; the failure that confirmed the
 	// drift is evidence from the new regime, so it alone restocks the arm

@@ -66,6 +66,7 @@ func TestEndToEndRunCollectsOutcomes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sys.EnableRecords()
 	gen, err := workload.StandardMix(sys.Src.Split())
 	if err != nil {
 		t.Fatal(err)

@@ -43,6 +43,7 @@ func TestSpansAreInert(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		sys.EnableRecords()
 		if spans {
 			sys.EnableSpans()
 		}

@@ -157,7 +157,7 @@ type Orchestrator struct {
 	active map[uint64]*jobState
 	stats  Stats
 	onDone func(Result)
-	tr     trace.JobTracer
+	tr     *trace.SpanRecorder
 }
 
 // NewOrchestrator returns an orchestrator submitting through s. A nil
@@ -182,10 +182,10 @@ func (o *Orchestrator) InFlight() int { return len(o.active) }
 // update. Call before the first Submit.
 func (o *Orchestrator) OnJobDone(fn func(Result)) { o.onDone = fn }
 
-// SetTracer attaches a job tracer (the span recorder): node task spans
-// are adopted under one root span per job. Tracers are passive —
-// attaching one never changes simulated results.
-func (o *Orchestrator) SetTracer(t trace.JobTracer) { o.tr = t }
+// SetTracer attaches the span recorder: node task spans are adopted
+// under one root span per job. The recorder is passive — attaching one
+// never changes simulated results.
+func (o *Orchestrator) SetTracer(t *trace.SpanRecorder) { o.tr = t }
 
 // Submit validates the job, plans placements if the placer does, and
 // releases its entry nodes. Node completions cascade inside the

@@ -95,7 +95,12 @@ func E17Resilience(s Scale) ([]*metrics.Table, error) {
 				StragglerProb: 0.05, StragglerFactor: 4, StragglerAlpha: 1.5,
 			}
 			strat.apply(&cfg)
-			res, err := runCell(s, cfg, mix, e17Rate)
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				return nil, err
+			}
+			sys.EnableRecords() // recoverySeconds reads the task records
+			res, err := driveCell(s, sys, mix, e17Rate, 0)
 			if err != nil {
 				return nil, err
 			}

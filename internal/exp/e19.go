@@ -180,6 +180,7 @@ func e19RunCell(s Scale, cfg core.Config, mix []workload.WeightedTemplate, cell 
 	if err != nil {
 		return runResult{}, err
 	}
+	sys.EnableRecords() // the objective and flap count read task records
 	var obs *core.Observer
 	if s.Obs != nil {
 		obs = s.Obs.attach(sys)

@@ -5,7 +5,6 @@ import (
 
 	"offload/internal/model"
 	"offload/internal/sim"
-	"offload/internal/trace"
 )
 
 // Failover configures the scheduler's regional failover layer: a passive
@@ -422,12 +421,6 @@ func (s *Scheduler) FlushFailover() int {
 	return len(q)
 }
 
-// regionTracer returns the attached tracer's region hooks, if it has any.
-func (f *failover) regionTracer() (trace.RegionTracer, bool) {
-	rt, ok := f.s.tr.(trace.RegionTracer)
-	return rt, ok && f.s.tr != nil
-}
-
 // rungAt computes the ladder rung at time now from how long the oldest
 // still-down region has been down. Read-only.
 func (f *failover) rungAt(now sim.Time) DegradationMode {
@@ -463,8 +456,8 @@ func (f *failover) noteRung(now sim.Time) {
 	if cur == f.lastRung {
 		return
 	}
-	if rt, ok := f.regionTracer(); ok {
-		rt.DegradationChange(f.lastRung.String(), cur.String(), now)
+	if f.s.tr != nil {
+		f.s.tr.DegradationChange(f.lastRung.String(), cur.String(), now)
 	}
 	f.lastRung = cur
 }
@@ -542,8 +535,8 @@ func (f *failover) rehome(task *model.Task, from, to model.Placement) {
 	f.stats.StateTransferUSD += cost
 	f.stats.ReHomed++
 	now := f.s.env.Eng.Now()
-	if rt, ok := f.regionTracer(); ok {
-		rt.TaskRehomed(task.ID, from, to, now)
+	if f.s.tr != nil {
+		f.s.tr.TaskRehomed(task.ID, from, to, now)
 	}
 	f.s.env.Eng.After(link.TransferTime(task.InputBytes), func() {
 		f.s.dispatchDirect(task, to)
@@ -642,8 +635,8 @@ func (f *failover) markDown(rh *regionHealth, now sim.Time) {
 	if rp, ok := f.s.policy.(RegionAwarePolicy); ok {
 		rp.ObserveRegion(rh.name, rh.placements, true, now)
 	}
-	if rt, ok := f.regionTracer(); ok {
-		rt.RegionTransition(rh.name, true, now)
+	if f.s.tr != nil {
+		f.s.tr.RegionTransition(rh.name, true, now)
 	}
 	f.noteRung(now)
 	f.scheduleProbe(rh)
@@ -661,8 +654,8 @@ func (f *failover) markUp(rh *regionHealth, now sim.Time) {
 	if rp, ok := f.s.policy.(RegionAwarePolicy); ok {
 		rp.ObserveRegion(rh.name, rh.placements, false, now)
 	}
-	if rt, ok := f.regionTracer(); ok {
-		rt.RegionTransition(rh.name, false, now)
+	if f.s.tr != nil {
+		f.s.tr.RegionTransition(rh.name, false, now)
 	}
 	f.noteRung(now)
 	f.drain()
@@ -754,8 +747,8 @@ func (f *failover) retarget(task *model.Task, p model.Placement) model.Placement
 		f.s.sunkUSD[task.ID] += cost
 		f.stats.StateTransferUSD += cost
 		f.stats.ReHomed++
-		if rt, ok := f.regionTracer(); ok {
-			rt.TaskRehomed(task.ID, p, alt, f.s.env.Eng.Now())
+		if f.s.tr != nil {
+			f.s.tr.TaskRehomed(task.ID, p, alt, f.s.env.Eng.Now())
 		}
 		return alt
 	}

@@ -128,10 +128,10 @@ type Scheduler struct {
 	fo *failover
 
 	// tr receives causal hook points (attempt lifecycle, breaker
-	// transitions, hedge cancels, task settlement) when span tracing is
-	// enabled. Tracers are passive: they record, never steer — dispatch
-	// takes the same decisions with or without one.
-	tr trace.Tracer
+	// transitions, hedge cancels, region events, task settlement) when
+	// span tracing is enabled. The recorder is passive: dispatch takes the
+	// same decisions with or without one.
+	tr *trace.SpanRecorder
 }
 
 // RetryPolicy re-dispatches tasks that failed with a transient
@@ -174,19 +174,11 @@ func WithResilience(r Resilience) Option {
 	return func(s *Scheduler) { s.res = &r }
 }
 
-// WithTracer attaches a span tracer to the scheduler. Equivalent to
-// calling SetTracer before the first Submit.
-func WithTracer(t trace.Tracer) Option {
-	return func(s *Scheduler) { s.tr = t }
-}
-
-// SetTracer attaches (or detaches, with nil) the tracer receiving the
-// scheduler's causal hook points. Call before the first Submit: attempts
-// already in flight keep reporting to the tracer they started with.
-func (s *Scheduler) SetTracer(t trace.Tracer) { s.tr = t }
-
-// Tracer returns the attached tracer, or nil.
-func (s *Scheduler) Tracer() trace.Tracer { return s.tr }
+// SetTracer attaches (or detaches, with nil) the span recorder receiving
+// the scheduler's causal hook points. Call before the first Submit:
+// attempts already in flight keep reporting to the recorder they started
+// with.
+func (s *Scheduler) SetTracer(t *trace.SpanRecorder) { s.tr = t }
 
 // WithLocalDVFS makes local executions of deadline-carrying tasks run at
 // the slowest frequency that still meets the deadline (floored at
@@ -302,8 +294,8 @@ func (s *Scheduler) SubmitThen(task *model.Task, then func(model.Outcome)) {
 
 // ChainOutcomeHook appends fn behind the outcome hook already installed
 // (if any): every settled task reaches both. Call before the first
-// Submit; the serve layer chains its accounting hook after core's
-// recorder this way without disturbing existing wiring.
+// Submit; core chains its opt-in record hook and the serve layer its
+// accounting hook this way without disturbing existing wiring.
 func (s *Scheduler) ChainOutcomeHook(fn func(model.Outcome)) {
 	if fn == nil {
 		return

@@ -81,65 +81,20 @@ type Span struct {
 // DurationS returns the span's width in simulated seconds.
 func (s Span) DurationS() float64 { return s.End - s.Start }
 
-// Tracer receives the scheduler's causal hook points. Implementations
-// must be passive: they may record, but must not schedule events, draw
-// randomness, or mutate tasks — attaching a tracer never changes
-// simulated results (TestSpansAreInert enforces this).
+// SpanRecorder is the one span tracer: the scheduler, the regional
+// failover layer, the DAG orchestrator and the adaptive controller all
+// report their causal hook points to it directly. It reconstructs
+// per-attempt phase spans from each attempt's outcome and synthesizes the
+// submit/backoff gaps when the task settles. IDs are assigned in event
+// order, so a recorder driven by a deterministic simulation produces
+// byte-identical output every run.
 //
-// AttemptStart returns an attempt handle that the scheduler threads back
-// into AttemptEnd / AttemptCost, so overlapping attempts of one task
-// (hedges) stay distinguishable.
-type Tracer interface {
-	// AttemptStart marks one dispatch of the task at the placement.
-	AttemptStart(task *model.Task, placement model.Placement, hedge bool, at sim.Time) uint64
-	// AttemptEnd closes the attempt with its outcome and status (one of
-	// the Status* constants).
-	AttemptEnd(id uint64, o model.Outcome, status string, at sim.Time)
-	// AttemptCost folds money billed by an attempt after it was already
-	// closed (a timed-out attempt's zombie completion).
-	AttemptCost(id uint64, costUSD float64)
-	// BreakerTransition records a circuit-breaker state change on a
-	// backend; states arrive as strings ("closed", "open", "half-open").
-	BreakerTransition(placement model.Placement, from, to string, at sim.Time)
-	// HedgeCanceled records an armed hedge timer dismissed unfired.
-	HedgeCanceled(task model.TaskID, at sim.Time)
-	// TaskDone records the task's settled end-to-end outcome.
-	TaskDone(o model.Outcome, at sim.Time)
-}
-
-// JobTracer is the optional extension a Tracer can implement to receive
-// the DAG orchestrator's hook points: node tasks adopted under a job
-// trace, and the job's settlement. Kept separate from Tracer so existing
-// implementations stay valid. The same passivity contract applies.
-type JobTracer interface {
-	// AdoptTrace parents the task's (future) root span under the job's
-	// root span. Call before the task settles.
-	AdoptTrace(task model.TaskID, job uint64)
-	// JobDone records the settled job as a root span on the job trace.
-	JobDone(job uint64, app string, start, end sim.Time, status string, costUSD float64)
-}
-
-// RegionTracer is the optional extension a Tracer can implement to
-// receive the regional failover layer's hook points. Kept separate from
-// Tracer so existing implementations stay valid; the scheduler
-// type-asserts for it. The same passivity contract applies.
-type RegionTracer interface {
-	// RegionTransition records a region going down or coming back up.
-	RegionTransition(region string, down bool, at sim.Time)
-	// DegradationChange records the graceful-degradation ladder moving
-	// between rungs (rung names: healthy, shed-low, localize-critical,
-	// queue-and-wait).
-	DegradationChange(from, to string, at sim.Time)
-	// TaskRehomed records a task re-dispatched from a dead region's
-	// placement to a surviving one, paying the state-transfer cost.
-	TaskRehomed(task model.TaskID, from, to model.Placement, at sim.Time)
-}
-
-// SpanRecorder assembles Spans from the scheduler's Tracer hook points.
-// It reconstructs per-attempt phase spans from each attempt's outcome and
-// synthesizes the submit/backoff gaps when the task settles. IDs are
-// assigned in event order, so a recorder driven by a deterministic
-// simulation produces byte-identical output every run.
+// The recorder is passive: it records, but never schedules events, draws
+// randomness or mutates tasks, so attaching one never changes simulated
+// results (TestSpansAreInert enforces this). AttemptStart returns an
+// attempt handle the scheduler threads back into AttemptEnd and
+// AttemptCost, so overlapping attempts of one task (hedges) stay
+// distinguishable.
 type SpanRecorder struct {
 	run    string
 	policy string
@@ -259,7 +214,8 @@ func (r *SpanRecorder) rootFor(trace uint64) uint64 {
 	return id
 }
 
-// AttemptStart implements Tracer.
+// AttemptStart opens a span for one dispatch of the task at the
+// placement and returns its handle.
 func (r *SpanRecorder) AttemptStart(task *model.Task, placement model.Placement, hedge bool, at sim.Time) uint64 {
 	trace := uint64(task.ID)
 	root := r.rootFor(trace)
@@ -283,7 +239,8 @@ func (r *SpanRecorder) AttemptStart(task *model.Task, placement model.Placement,
 	return id
 }
 
-// AttemptEnd implements Tracer.
+// AttemptEnd closes the attempt with its outcome and status (one of the
+// Status* constants) and decomposes it into phase spans.
 func (r *SpanRecorder) AttemptEnd(id uint64, o model.Outcome, status string, at sim.Time) {
 	idx, ok := r.byID[id]
 	if !ok {
@@ -307,7 +264,8 @@ func (r *SpanRecorder) AttemptEnd(id uint64, o model.Outcome, status string, at 
 	}
 }
 
-// AttemptCost implements Tracer.
+// AttemptCost folds money billed by an attempt after it was already
+// closed (a timed-out attempt's zombie completion).
 func (r *SpanRecorder) AttemptCost(id uint64, costUSD float64) {
 	if idx, ok := r.byID[id]; ok {
 		r.spans[idx].CostUSD += costUSD
@@ -343,7 +301,8 @@ func (r *SpanRecorder) emitPhases(a Span, o model.Outcome) {
 	}
 }
 
-// BreakerTransition implements Tracer.
+// BreakerTransition records a circuit-breaker state change on a backend
+// as a zero-width event span; Status carries "from>to".
 func (r *SpanRecorder) BreakerTransition(placement model.Placement, from, to string, at sim.Time) {
 	r.spans = append(r.spans, Span{
 		ID: r.id(), Name: EventBreaker, Backend: placement.String(),
@@ -363,8 +322,8 @@ func (r *SpanRecorder) AdaptEvent(kind, subject string, at sim.Time) {
 	})
 }
 
-// RegionTransition implements RegionTracer as a zero-width run-scoped
-// event span: Backend carries the region name, Status "down" or "up".
+// RegionTransition records a region going down or coming back up as a
+// zero-width run-scoped event span: Backend carries the region name, Status "down" or "up".
 func (r *SpanRecorder) RegionTransition(region string, down bool, at sim.Time) {
 	status := "up"
 	if down {
@@ -377,8 +336,9 @@ func (r *SpanRecorder) RegionTransition(region string, down bool, at sim.Time) {
 	})
 }
 
-// DegradationChange implements RegionTracer: a zero-width run-scoped
-// event span whose Status carries "from>to" rung names.
+// DegradationChange records the graceful-degradation ladder moving
+// between rungs: a zero-width run-scoped event span whose Status carries
+// "from>to" rung names.
 func (r *SpanRecorder) DegradationChange(from, to string, at sim.Time) {
 	r.spans = append(r.spans, Span{
 		ID: r.id(), Name: EventDegrade,
@@ -387,8 +347,9 @@ func (r *SpanRecorder) DegradationChange(from, to string, at sim.Time) {
 	})
 }
 
-// TaskRehomed implements RegionTracer: a zero-width span on the task's
-// trace whose Status carries the "from>to" placements.
+// TaskRehomed records a task re-dispatched from a dead region's placement
+// to a surviving one: a zero-width span on the task's trace whose Status
+// carries the "from>to" placements.
 func (r *SpanRecorder) TaskRehomed(task model.TaskID, from, to model.Placement, at sim.Time) {
 	trace := uint64(task)
 	r.spans = append(r.spans, Span{
@@ -399,7 +360,7 @@ func (r *SpanRecorder) TaskRehomed(task model.TaskID, from, to model.Placement, 
 	})
 }
 
-// HedgeCanceled implements Tracer.
+// HedgeCanceled records an armed hedge timer dismissed unfired.
 func (r *SpanRecorder) HedgeCanceled(task model.TaskID, at sim.Time) {
 	trace := uint64(task)
 	r.spans = append(r.spans, Span{
@@ -409,7 +370,7 @@ func (r *SpanRecorder) HedgeCanceled(task model.TaskID, at sim.Time) {
 	})
 }
 
-// TaskDone implements Tracer: it appends the root span and the
+// TaskDone records the task's settled end-to-end outcome: it appends the root span and the
 // submit/backoff gaps — the sub-intervals of [Started, Finished] during
 // which no attempt was in flight.
 func (r *SpanRecorder) TaskDone(o model.Outcome, at sim.Time) {
@@ -463,13 +424,13 @@ func (r *SpanRecorder) TaskDone(o model.Outcome, at sim.Time) {
 	}
 }
 
-// AdoptTrace implements JobTracer: when the task settles, its root span
-// will be parented under the job's root span instead of standing alone.
+// AdoptTrace parents the task's future root span under the DAG job's root
+// span instead of letting it stand alone. Call before the task settles.
 func (r *SpanRecorder) AdoptTrace(task model.TaskID, job uint64) {
 	r.adopted[uint64(task)] = job
 }
 
-// JobDone implements JobTracer: it appends the job's root span — the
+// JobDone records the settled DAG job: it appends the job's root span — the
 // parent every adopted node task span points at — closing the job trace.
 func (r *SpanRecorder) JobDone(job uint64, app string, start, end sim.Time, status string, costUSD float64) {
 	root := r.rootFor(job)

@@ -39,8 +39,7 @@ type Record struct {
 	EnergyMilliJ float64 `json:"energy_mj,omitempty"`
 
 	// Attempts is how many dispatches the task took (retries and hedges
-	// included); 0 in traces written before the field existed, which
-	// readers treat as 1.
+	// included); 0 in traces written before the field existed.
 	Attempts int `json:"attempts,omitempty"`
 
 	Missed bool `json:"missed,omitempty"`
@@ -113,7 +112,9 @@ func Replay(eng *sim.Engine, records []Record, submit func(*model.Task)) error {
 // CompletionS returns the end-to-end completion time in seconds.
 func (r Record) CompletionS() float64 { return r.Finished - r.Submitted }
 
-// Recorder accumulates records; plug Hook into a scheduler.
+// Recorder accumulates records; plug Hook into a scheduler. It retains
+// one record per settled task for the life of the run, so systems attach
+// one only on request (core.System.EnableRecords).
 type Recorder struct {
 	records []Record
 }
@@ -173,68 +174,4 @@ func ReadJSONL(r io.Reader) ([]Record, error) {
 		return nil, fmt.Errorf("trace: reading: %w", err)
 	}
 	return out, nil
-}
-
-// Summary holds aggregate statistics over a set of records, the quantities
-// compared by the CI/CD SLO gate.
-type Summary struct {
-	Tasks          int
-	Failed         int
-	Missed         int
-	MeanCompletion float64
-	TotalCostUSD   float64
-	TotalEnergyMJ  float64
-
-	// MeanAttempts is the mean dispatch count per task; RetryRate is the
-	// fraction of tasks that needed more than one. Records without an
-	// attempts field (pre-existing traces) count as single-attempt.
-	MeanAttempts float64
-	RetryRate    float64
-}
-
-// Summarize aggregates records. Cost and energy accumulate for every
-// record including failures — failed tasks were still billed for the
-// attempts they made, and the SLO gate must see that spend.
-func Summarize(records []Record) Summary {
-	var s Summary
-	sum := 0.0
-	attempts, retried := 0, 0
-	for _, r := range records {
-		s.Tasks++
-		s.TotalCostUSD += r.CostUSD
-		s.TotalEnergyMJ += r.EnergyMilliJ
-		a := r.Attempts
-		if a < 1 {
-			a = 1
-		}
-		attempts += a
-		if a > 1 {
-			retried++
-		}
-		if r.Failed {
-			s.Failed++
-			continue
-		}
-		if r.Missed {
-			s.Missed++
-		}
-		sum += r.CompletionS()
-	}
-	if n := s.Tasks - s.Failed; n > 0 {
-		s.MeanCompletion = sum / float64(n)
-	}
-	if s.Tasks > 0 {
-		s.MeanAttempts = float64(attempts) / float64(s.Tasks)
-		s.RetryRate = float64(retried) / float64(s.Tasks)
-	}
-	return s
-}
-
-// MissRate returns the deadline-miss fraction among completed tasks.
-func (s Summary) MissRate() float64 {
-	n := s.Tasks - s.Failed
-	if n == 0 {
-		return 0
-	}
-	return float64(s.Missed) / float64(n)
 }

@@ -96,47 +96,6 @@ func TestReadJSONLSkipsBlanksAndReportsErrors(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	records := []Record{
-		{Submitted: 0, Finished: 10, CostUSD: 1, EnergyMilliJ: 5},
-		{Submitted: 0, Finished: 20, CostUSD: 2, Missed: true},
-		{Submitted: 0, Finished: 99, Failed: true},
-	}
-	s := Summarize(records)
-	if s.Tasks != 3 || s.Failed != 1 || s.Missed != 1 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if s.MeanCompletion != 15 {
-		t.Fatalf("MeanCompletion = %g, want 15 (failures excluded)", s.MeanCompletion)
-	}
-	if s.TotalCostUSD != 3 || s.TotalEnergyMJ != 5 {
-		t.Fatalf("totals wrong: %+v", s)
-	}
-	if s.MissRate() != 0.5 {
-		t.Fatalf("MissRate = %g, want 0.5", s.MissRate())
-	}
-}
-
-// TestSummarizeCountsFailedSpend: money and energy sunk into failed tasks
-// must reach the totals — the SLO gate compares spend against budgets, and
-// failed attempts were still billed.
-func TestSummarizeCountsFailedSpend(t *testing.T) {
-	records := []Record{
-		{Submitted: 0, Finished: 10, CostUSD: 1, EnergyMilliJ: 5},
-		{Submitted: 0, Finished: 99, Failed: true, CostUSD: 2, EnergyMilliJ: 7},
-	}
-	s := Summarize(records)
-	if s.TotalCostUSD != 3 {
-		t.Fatalf("TotalCostUSD = %g, want 3 (failed task's $2 dropped)", s.TotalCostUSD)
-	}
-	if s.TotalEnergyMJ != 12 {
-		t.Fatalf("TotalEnergyMJ = %g, want 12 (failed task's energy dropped)", s.TotalEnergyMJ)
-	}
-	if s.MeanCompletion != 10 {
-		t.Fatalf("MeanCompletion = %g, want 10 (failures still excluded from latency)", s.MeanCompletion)
-	}
-}
-
 func TestRecordTaskRoundTrip(t *testing.T) {
 	task := &model.Task{
 		ID: 9, App: "x", InputBytes: 100, OutputBytes: 50,
@@ -185,12 +144,5 @@ func TestReplayRejectsPastRecords(t *testing.T) {
 	}
 	if err := Replay(eng, nil, nil); err == nil {
 		t.Fatal("nil submit accepted")
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	s := Summarize(nil)
-	if s.Tasks != 0 || s.MeanCompletion != 0 || s.MissRate() != 0 {
-		t.Fatalf("empty summary: %+v", s)
 	}
 }
