@@ -8,7 +8,7 @@ OFFBENCH_BIN = /tmp/offbench-ci
 
 # The micro-benchmark packages whose hot paths carry allocation and
 # latency contracts, and the committed baseline they gate against.
-BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/
+BENCH_PKGS = ./internal/sim/ ./internal/metrics/ ./internal/trace/ ./internal/alloc/ ./internal/sched/
 BENCH_BASELINE = BENCH_2026-08-08.json
 
 all: build vet test
@@ -33,13 +33,15 @@ race:
 # Short fuzzing smoke runs over the fault-injector invariants, the span
 # JSONL codec, the Page–Hinkley drift detector, the shard-barrier
 # determinism property, the Prometheus name sanitizer and the DAG
-# validator/topological-sort invariants. Longer local sessions:
+# validator/topological-sort invariants, and the pruned allocator against
+# its sweep-then-scan reference. Longer local sessions:
 #   go test -fuzz=FuzzFaultInjector -fuzztime=5m ./internal/fault/
 #   go test -fuzz=FuzzReadSpansJSONL -fuzztime=5m ./internal/trace/
 #   go test -fuzz=FuzzDriftDetector -fuzztime=5m ./internal/adapt/
 #   go test -fuzz=FuzzShardBarrier -fuzztime=5m ./internal/sim/
 #   go test -fuzz=FuzzSanitizeName -fuzztime=5m ./internal/metrics/
 #   go test -fuzz=FuzzDAGValidate -fuzztime=5m ./internal/dag/
+#   go test -fuzz=FuzzChooseMatchesReference -fuzztime=5m ./internal/alloc/
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzFaultInjector -fuzztime=10s ./internal/fault/
 	$(GO) test -run='^$$' -fuzz=FuzzReadSpansJSONL -fuzztime=10s ./internal/trace/
@@ -47,6 +49,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzShardBarrier -fuzztime=10s ./internal/sim/
 	$(GO) test -run='^$$' -fuzz=FuzzSanitizeName -fuzztime=10s ./internal/metrics/
 	$(GO) test -run='^$$' -fuzz=FuzzDAGValidate -fuzztime=10s ./internal/dag/
+	$(GO) test -run='^$$' -fuzz=FuzzChooseMatchesReference -fuzztime=10s ./internal/alloc/
 
 # Everything CI runs, in order: the gates plus the determinism diffs.
 ci: build vet perfbench fmt test race fuzz determinism metrics-golden spans-golden serve-smoke
@@ -137,7 +140,7 @@ bench:
 	$(GO) test -run='^$$' -bench=. -benchmem . | tee results/bench_latest.txt
 
 # The hot-path micro-benchmarks: event kernel, metric touches, span
-# recording. -count=6 gives benchstat/benchgate enough samples to tell a
+# recording, allocator Choose and deadline-aware Decide. -count=6 gives benchstat/benchgate enough samples to tell a
 # regression from noise.
 bench-micro:
 	mkdir -p results

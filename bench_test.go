@@ -280,9 +280,11 @@ func BenchmarkDecideDeadlineAware(b *testing.B) {
 	env := benchDecideEnv(b)
 	p := sched.NewDeadlineAware()
 	pred := sched.NewPerApp(0.3)
+	task := benchDecideTask(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := p.Decide(benchDecideTask(i), env, pred); got == model.PlaceUnknown {
+		task.ID = model.TaskID(i)
+		if got := p.Decide(task, env, pred); got == model.PlaceUnknown {
 			b.Fatal("no placement")
 		}
 	}

@@ -43,22 +43,26 @@ type Request struct {
 	ColdStartProb float64
 }
 
-// Validate reports whether the request is well formed.
+// Validate reports whether the request is well formed. Non-finite values
+// are rejected: a NaN passes every range comparison and would poison the
+// cost of every ladder rung.
 func (r Request) Validate() error {
 	switch {
-	case r.Cycles < 0:
-		return fmt.Errorf("alloc: negative demand")
-	case r.ParallelFraction < 0 || r.ParallelFraction > 1:
+	case !finite(r.Cycles) || r.Cycles < 0:
+		return fmt.Errorf("alloc: demand %g not a finite non-negative number", r.Cycles)
+	case !(r.ParallelFraction >= 0 && r.ParallelFraction <= 1):
 		return fmt.Errorf("alloc: parallel fraction %g outside [0,1]", r.ParallelFraction)
 	case r.MemoryFloorBytes < 0:
 		return fmt.Errorf("alloc: negative memory floor")
-	case r.TimeBudget < 0:
-		return fmt.Errorf("alloc: negative time budget")
-	case r.ColdStartProb < 0 || r.ColdStartProb > 1:
+	case !finite(float64(r.TimeBudget)) || r.TimeBudget < 0:
+		return fmt.Errorf("alloc: time budget %g not a finite non-negative duration", float64(r.TimeBudget))
+	case !(r.ColdStartProb >= 0 && r.ColdStartProb <= 1):
 		return fmt.Errorf("alloc: cold-start probability %g outside [0,1]", r.ColdStartProb)
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Decision is one evaluated configuration.
 type Decision struct {
@@ -82,31 +86,48 @@ func New(cfg serverless.Config) *Allocator {
 	return &Allocator{cfg: cfg}
 }
 
-// expectedCold returns the mean cold-start duration for a memory size.
-func (a *Allocator) expectedCold(memBytes int64) sim.Duration {
-	cs := a.cfg.ColdStart
+// rungModel evaluates one request at any memory size. It holds the terms
+// that do not depend on the size, so a pass over the ladder computes the
+// serial time and the lognormal mean once, not once per rung.
+type rungModel struct {
+	cfg      *serverless.Config
+	req      Request
+	serial   float64 // execution seconds at one full vCPU
+	coldMean float64 // mean lognormal cold start in seconds
+}
+
+func newRungModel(a *Allocator, req Request) rungModel {
+	rm := rungModel{cfg: &a.cfg, req: req, serial: req.Cycles / a.cfg.BaselineHz}
+	if cs := a.cfg.ColdStart; cs.MedianSec != 0 {
+		// Mean of a lognormal with median m and dispersion sigma.
+		rm.coldMean = cs.MedianSec * math.Exp(cs.Sigma*cs.Sigma/2)
+	}
+	return rm
+}
+
+// exec returns the execution time at memBytes.
+func (rm *rungModel) exec(memBytes int64) sim.Duration {
+	return rm.cfg.ExecTimeSerial(rm.serial, rm.req.ParallelFraction, rm.req.MemoryFloorBytes, memBytes)
+}
+
+// cold returns the mean cold-start duration at memBytes.
+func (rm *rungModel) cold(memBytes int64) sim.Duration {
+	cs := &rm.cfg.ColdStart
 	if cs.MedianSec == 0 {
 		return 0
 	}
-	// Mean of a lognormal with median m and dispersion sigma.
-	mean := cs.MedianSec * math.Exp(cs.Sigma*cs.Sigma/2)
-	return sim.Duration(mean + cs.PerGBExtra*float64(memBytes)/float64(model.GB))
+	return sim.Duration(rm.coldMean + cs.PerGBExtra*float64(memBytes)/float64(model.GB))
 }
 
-// Evaluate computes the expected time and cost of serving the request with
-// the given memory size.
-func (a *Allocator) Evaluate(req Request, memBytes int64) Decision {
-	task := &model.Task{
-		Cycles:           req.Cycles,
-		ParallelFraction: req.ParallelFraction,
-		MemoryBytes:      req.MemoryFloorBytes,
-	}
-	exec := a.cfg.ExecTime(task, memBytes)
-	cold := a.expectedCold(memBytes)
+// at returns the expected time and cost at memBytes.
+func (rm *rungModel) at(memBytes int64) Decision {
+	req := &rm.req
+	exec := rm.exec(memBytes)
+	cold := rm.cold(memBytes)
 	expTime := exec + sim.Duration(req.ColdStartProb*float64(cold))
 	// Expected bill: cold invocations are billed for init + run.
-	cost := req.ColdStartProb*a.cfg.Price.Bill(memBytes, cold+exec) +
-		(1-req.ColdStartProb)*a.cfg.Price.Bill(memBytes, exec)
+	cost := req.ColdStartProb*rm.cfg.Price.Bill(memBytes, cold+exec) +
+		(1-req.ColdStartProb)*rm.cfg.Price.Bill(memBytes, exec)
 	d := Decision{
 		MemoryBytes:     memBytes,
 		ExpectedTime:    expTime,
@@ -119,16 +140,24 @@ func (a *Allocator) Evaluate(req Request, memBytes int64) Decision {
 	return d
 }
 
+// Evaluate computes the expected time and cost of serving the request with
+// the given memory size.
+func (a *Allocator) Evaluate(req Request, memBytes int64) Decision {
+	rm := newRungModel(a, req)
+	return rm.at(memBytes)
+}
+
 // Sweep evaluates the request at every ladder size, in ascending memory
 // order — the raw data behind the E2 cost curve.
 func (a *Allocator) Sweep(req Request) ([]Decision, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
+	rm := newRungModel(a, req)
 	ladder := a.cfg.MemoryLadder()
-	out := make([]Decision, 0, len(ladder))
-	for _, m := range ladder {
-		out = append(out, a.Evaluate(req, m))
+	out := make([]Decision, len(ladder))
+	for i, m := range ladder {
+		out[i] = rm.at(m)
 	}
 	return out, nil
 }
@@ -137,19 +166,49 @@ func (a *Allocator) Sweep(req Request) ([]Decision, error) {
 // smaller memory. If no configuration meets the time budget, it returns
 // the fastest feasible-by-memory configuration with Feasible=false, so
 // callers can degrade gracefully.
+//
+// Choose returns exactly what a scan over Sweep would, in one pass that
+// builds nothing and stops early. For every rung m at or above the floor,
+// with share s(m) = CPUShare(m) and gb(m) = m/GB,
+//
+//	cost(m) ≥ lb(m) = PerRequestUSD + gb(m)·max(MinBilled, serial·((1−p)+p/s(m)))·PerGBSecondUSD
+//
+// because execution takes at least serial·((1−p)+p/s(m)) (pressure only
+// slows it, and below one vCPU it takes serial/s(m), which is no less), a
+// cold start only adds billed time, and billing rounds up. lb never falls
+// as m grows: gb(m)/s(m) is constant until the share caps at MaxShare and
+// rises after, so gb(m)·((1−p)+p/s(m)) = (1−p)·gb(m) + p·gb(m)/s(m) does
+// not fall. Once lb(m) exceeds best·(1+1e-9)+1e-15, no rung from m on can
+// undercut best by the 1e-15 tie margin, and the pass stops; the 1e-9
+// relative slack absorbs rounding in the computed costs. Pruning starts
+// only once a rung meets the budget, and the fastest fallback is returned
+// only when none does.
 func (a *Allocator) Choose(req Request) (Decision, error) {
-	decisions, err := a.Sweep(req)
-	if err != nil {
+	if err := req.Validate(); err != nil {
 		return Decision{}, err
 	}
+	rm := newRungModel(a, req)
+	price := &a.cfg.Price
+	p := req.ParallelFraction
 	var best Decision
 	haveBest := false
 	var fastest Decision
 	haveFastest := false
-	for _, d := range decisions {
-		if d.MemoryBytes < req.MemoryFloorBytes {
+	for m := a.cfg.MinMemory; m <= a.cfg.MaxMemory; m += a.cfg.MemoryStep {
+		if m < req.MemoryFloorBytes {
 			continue
 		}
+		if haveBest {
+			billed := rm.serial * ((1 - p) + p/a.cfg.CPUShare(m))
+			if billed < float64(price.MinBilled) {
+				billed = float64(price.MinBilled)
+			}
+			lb := price.PerRequestUSD + float64(m)/float64(model.GB)*billed*price.PerGBSecondUSD
+			if lb > best.ExpectedCostUSD*(1+1e-9)+1e-15 {
+				break
+			}
+		}
+		d := rm.at(m)
 		if !haveFastest || d.ExpectedTime < fastest.ExpectedTime {
 			fastest, haveFastest = d, true
 		}
@@ -204,16 +263,12 @@ func (a *Allocator) PlanBatch(req Request, memBytes int64, batchSize int) (Batch
 	if batchSize <= 0 {
 		return BatchPlan{}, fmt.Errorf("alloc: batch size %d not positive", batchSize)
 	}
-	task := &model.Task{
-		Cycles:           req.Cycles,
-		ParallelFraction: req.ParallelFraction,
-		MemoryBytes:      req.MemoryFloorBytes,
-	}
-	exec := a.cfg.ExecTime(task, memBytes)
-	cold := sim.Duration(req.ColdStartProb * float64(a.expectedCold(memBytes)))
+	rm := newRungModel(a, req)
+	exec := rm.exec(memBytes)
+	cold := sim.Duration(req.ColdStartProb * float64(rm.cold(memBytes)))
 	total := cold + sim.Duration(float64(exec)*float64(batchSize))
 	batchedCost := a.cfg.Price.Bill(memBytes, total)
-	single := a.Evaluate(req, memBytes)
+	single := rm.at(memBytes)
 	unbatched := single.ExpectedCostUSD * float64(batchSize)
 	savings := 0.0
 	if unbatched > 0 {

@@ -44,6 +44,13 @@ func TestRequestValidate(t *testing.T) {
 		{TimeBudget: -1},
 		{ColdStartProb: -0.1},
 		{ColdStartProb: 1.1},
+		// NaN passes every range comparison; infinities are not demands.
+		{Cycles: math.NaN()},
+		{Cycles: math.Inf(1)},
+		{ParallelFraction: math.NaN()},
+		{ColdStartProb: math.NaN()},
+		{TimeBudget: sim.Duration(math.NaN())},
+		{TimeBudget: sim.Duration(math.Inf(1))},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {
@@ -135,12 +142,18 @@ func TestChooseInfeasibleBudgetReturnsFastest(t *testing.T) {
 	if d.Feasible {
 		t.Fatal("impossible budget reported feasible")
 	}
-	// Fastest serial config is anything >= full share; expect full-share time.
-	if math.Abs(float64(d.ExpectedTime)-100.5) > 1e-6 { // 100 s + 0.5 s expected cold? prob 0 default
-		// ColdStartProb defaults to 0, so expected time is exec only.
-		if math.Abs(float64(d.ExpectedTime)-100) > 1e-6 {
-			t.Fatalf("fastest fallback time = %v", d.ExpectedTime)
+	sweep, err := a.Sweep(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fastest := sim.Duration(math.Inf(1))
+	for _, s := range sweep {
+		if s.MemoryBytes >= req.MemoryFloorBytes && s.ExpectedTime < fastest {
+			fastest = s.ExpectedTime
 		}
+	}
+	if d.ExpectedTime != fastest {
+		t.Fatalf("fallback time = %v, fastest memory-feasible rung takes %v", d.ExpectedTime, fastest)
 	}
 }
 

@@ -157,3 +157,23 @@ func TestRandomCoversAvailable(t *testing.T) {
 		})
 	}
 }
+
+// TestDeadlineAwareDecideAllocatesNothing pins the decision path's
+// allocation contract on an environment offering all four placements:
+// the estimates live in a fixed array and the allocator builds no ladder.
+func TestDeadlineAwareDecideAllocatesNothing(t *testing.T) {
+	env := testEnv(t)
+	if n := len(env.Available()); n != 4 {
+		t.Fatalf("test environment offers %d placements, want 4", n)
+	}
+	p := NewDeadlineAware()
+	pred := NewPerApp(0.3)
+	task := heavyTask(1)
+	if n := testing.AllocsPerRun(100, func() {
+		if p.Decide(task, env, pred) == model.PlaceUnknown {
+			t.Fatal("no placement")
+		}
+	}); n != 0 {
+		t.Fatalf("Decide allocates %v times per call, want 0", n)
+	}
+}

@@ -309,26 +309,33 @@ func GCFLike() Config {
 	}
 }
 
-// MemoryLadder returns the allowed memory sizes in ascending order.
+// MemoryLadder returns the allowed memory sizes in ascending order. The
+// configuration must be valid (see Validate).
 func (c Config) MemoryLadder() []int64 {
-	var ladder []int64
-	for m := c.MinMemory; m <= c.MaxMemory; m += c.MemoryStep {
-		ladder = append(ladder, m)
+	ladder := make([]int64, (c.MaxMemory-c.MinMemory)/c.MemoryStep+1)
+	for i := range ladder {
+		ladder[i] = c.MinMemory + int64(i)*c.MemoryStep
 	}
 	return ladder
 }
 
 // CPUShare returns the number of vCPUs a function with memBytes receives.
-func (c Config) CPUShare(memBytes int64) float64 {
+// CPUShare, PressureSlowdown and ExecTimeSerial take a pointer: the
+// allocator calls them once per ladder rung, and a value receiver would
+// copy the whole Config each time.
+func (c *Config) CPUShare(memBytes int64) float64 {
 	share := float64(memBytes) / float64(c.FullShareBytes)
-	return math.Min(share, c.MaxShare)
+	if share > c.MaxShare {
+		return c.MaxShare
+	}
+	return share
 }
 
 // PressureSlowdown returns the execution-time multiplier from memory
 // pressure when a task with the given working set runs in memBytes of
 // memory. It is 1 with ample headroom and rises quadratically to
 // 1+PressurePenalty as the working set approaches the full memory size.
-func (c Config) PressureSlowdown(workingSet, memBytes int64) float64 {
+func (c *Config) PressureSlowdown(workingSet, memBytes int64) float64 {
 	if workingSet <= 0 || c.PressurePenalty == 0 || c.PressureKneeRatio <= 1 {
 		return 1
 	}
@@ -348,15 +355,20 @@ func (c Config) PressureSlowdown(workingSet, memBytes int64) float64 {
 // memory: linear slowdown below one vCPU, Amdahl-limited speedup above
 // it, and a memory-pressure penalty when the working set barely fits.
 func (c Config) ExecTime(task *model.Task, memBytes int64) sim.Duration {
+	return c.ExecTimeSerial(task.Cycles/c.BaselineHz, task.ParallelFraction, task.MemoryBytes, memBytes)
+}
+
+// ExecTimeSerial is ExecTime for a task that runs serialSec at one full
+// vCPU, with parallel fraction p and working set workingSet. Callers that
+// size one task over many memory sizes compute serialSec once.
+func (c *Config) ExecTimeSerial(serialSec, p float64, workingSet, memBytes int64) sim.Duration {
 	share := c.CPUShare(memBytes)
-	serialTime := task.Cycles / c.BaselineHz
-	slow := c.PressureSlowdown(task.MemoryBytes, memBytes)
+	slow := c.PressureSlowdown(workingSet, memBytes)
 	if share <= 1 {
-		return sim.Duration(serialTime * slow / share)
+		return sim.Duration(serialSec * slow / share)
 	}
-	p := task.ParallelFraction
 	speedup := 1 / ((1 - p) + p/share)
-	return sim.Duration(serialTime * slow / speedup)
+	return sim.Duration(serialSec * slow / speedup)
 }
 
 // Platform is a live serverless region bound to a simulation engine.

@@ -206,7 +206,8 @@ func TestPressureSlowdown(t *testing.T) {
 		t.Fatalf("slowdown at ratio 1.5 = %g, want 1.375", mid)
 	}
 	// Disabled configurations never slow down.
-	if got := testConfig().PressureSlowdown(ws, ws); got != 1 {
+	disabled := testConfig()
+	if got := disabled.PressureSlowdown(ws, ws); got != 1 {
 		t.Fatalf("disabled pressure slowdown = %g", got)
 	}
 	if got := cfg.PressureSlowdown(0, ws); got != 1 {
