@@ -76,22 +76,22 @@ determinism: offbench-bin
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E20 -parallel 1 -quiet > /tmp/offbench-e20-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E20 -parallel 4 -quiet > /tmp/offbench-e20-parallel.txt
 	cmp /tmp/offbench-e20-serial.txt /tmp/offbench-e20-parallel.txt
-	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 1 -quiet > /tmp/offbench-e21-serial.txt
-	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 7 -quiet > /tmp/offbench-e21-sharded.txt
-	cmp /tmp/offbench-e21-serial.txt /tmp/offbench-e21-sharded.txt
+	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E9,E21 -shards 1 -quiet > /tmp/offbench-shards-serial.txt
+	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E9,E21 -shards 7 -quiet > /tmp/offbench-shards-sharded.txt
+	cmp /tmp/offbench-shards-serial.txt /tmp/offbench-shards-sharded.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 1 -quiet > /tmp/offbench-e22-serial.txt
 	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E22 -parallel 4 -quiet > /tmp/offbench-e22-parallel.txt
 	cmp /tmp/offbench-e22-serial.txt /tmp/offbench-e22-parallel.txt
 
 # The sharded-engine drill: the cross-shard determinism property and
-# fleet tests under the race detector, then the E21 quick run diffed
-# serial (one shard) against sharded (seven) byte for byte.
+# fleet tests under the race detector, then the E9 and E21 quick runs
+# diffed serial (one shard) against sharded (seven) byte for byte.
 shards: offbench-bin
-	$(GO) test -race -run 'TestSharded|TestShardedFleet' ./internal/sim/ ./internal/core/
-	$(GO) test -race -run 'TestE21' ./internal/exp/
-	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 1 -quiet > /tmp/offbench-e21-serial.txt
-	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E21 -shards 7 -quiet > /tmp/offbench-e21-sharded.txt
-	cmp /tmp/offbench-e21-serial.txt /tmp/offbench-e21-sharded.txt
+	$(GO) test -race -run 'TestSharded|TestFleet' ./internal/sim/ ./internal/core/
+	$(GO) test -race -run 'TestE9|TestE21' ./internal/exp/
+	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E9,E21 -shards 1 -quiet > /tmp/offbench-shards-serial.txt
+	$(OFFBENCH_BIN) -scale quick -csv -seed 1 -exp E9,E21 -shards 7 -quiet > /tmp/offbench-shards-sharded.txt
+	cmp /tmp/offbench-shards-serial.txt /tmp/offbench-shards-sharded.txt
 
 # The chaos drill: both failure-centric experiments (E17 correlated
 # outages, E20 regional disasters) at quick scale under the race
@@ -210,6 +210,7 @@ examples:
 	$(GO) run ./examples/videopipeline
 	$(GO) run ./examples/mlbatch
 	$(GO) run ./examples/cicd
+	$(GO) run ./examples/fleet
 
 clean:
 	$(GO) clean ./...

@@ -23,7 +23,7 @@ func main() {
 		cfg.Serverless = &sl
 		cfg.ArrivalRateHint = 0.5 // bursty: everyone submits at once
 
-		fleet, err := offload.NewFleet(cfg, devices)
+		fleet, err := offload.NewShardedFleet(cfg, devices)
 		if err != nil {
 			panic(err)
 		}

@@ -154,13 +154,12 @@ type Config struct {
 	// orchestrator's node dispatches would bypass.
 	DAG *DAGConfig
 
-	// ShardCount partitions a fleet-scale run (NewShardedFleet) across
-	// this many worker shards advancing in lockstep epochs against a
-	// hub engine that owns the shared substrates — see sim.ShardedEngine.
+	// ShardCount partitions a fleet run (NewShardedFleet) across this
+	// many worker shards advancing in lockstep epochs against a hub
+	// engine that owns the shared substrates — see sim.ShardedEngine.
 	// 0 and 1 both mean one shard. Results are byte-identical at every
-	// shard count: the sharded fleet keys all randomness per UE, never
-	// per shard. Ignored by NewSystem and NewFleet, so existing
-	// configurations change nothing.
+	// shard count: the fleet keys all randomness per UE, never per
+	// shard. NewSystem ignores it; NewServer rejects values above one.
 	ShardCount int
 
 	// ShardInterval is the conservative-barrier epoch width in simulated
@@ -316,17 +315,8 @@ func NewSystem(cfg Config) (*System, error) {
 	if budget != nil {
 		opts = append(opts, sched.WithOutcomeHook(budget.Hook()))
 	}
-	if cfg.Retries > 1 {
-		backoff := cfg.RetryBackoff
-		if backoff <= 0 {
-			backoff = 1
-		}
-		opts = append(opts, sched.WithRetries(sched.RetryPolicy{
-			MaxAttempts: cfg.Retries,
-			Backoff:     backoff,
-			MaxBackoff:  cfg.RetryMaxBackoff,
-			FullJitter:  cfg.RetryJitter,
-		}))
+	if rp, ok := retryPolicy(cfg); ok {
+		opts = append(opts, sched.WithRetries(rp))
 	}
 	if cfg.LocalDVFSMinScale > 0 {
 		opts = append(opts, sched.WithLocalDVFS(cfg.LocalDVFSMinScale))
@@ -486,6 +476,25 @@ func installRegions(sys *System, src *rng.Source, rc *RegionsConfig) error {
 		}
 	}
 	return nil
+}
+
+// retryPolicy builds the scheduler's retry policy from the Retries*
+// fields; ok is false when retries are off (Retries <= 1). NewSystem and
+// NewShardedFleet both call it, so the two assemble retries identically.
+func retryPolicy(cfg Config) (p sched.RetryPolicy, ok bool) {
+	if cfg.Retries <= 1 {
+		return sched.RetryPolicy{}, false
+	}
+	backoff := cfg.RetryBackoff
+	if backoff <= 0 {
+		backoff = 1
+	}
+	return sched.RetryPolicy{
+		MaxAttempts: cfg.Retries,
+		Backoff:     backoff,
+		MaxBackoff:  cfg.RetryMaxBackoff,
+		FullJitter:  cfg.RetryJitter,
+	}, true
 }
 
 // buildPolicy resolves the configured policy, constructing the adaptive

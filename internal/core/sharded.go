@@ -16,10 +16,12 @@ import (
 	"offload/internal/workload"
 )
 
-// ShardedFleet is Fleet at million-UE scale: the UEs are partitioned
-// across N worker shards, each owning its devices' event heap, advancing
-// in lockstep epochs against a hub engine that owns the shared substrates
-// (serverless platform, edge site, VM fleet). Remote executions cross the
+// ShardedFleet simulates many UEs against SHARED remote infrastructure
+// (one serverless region, edge site and VM fleet), each UE with its own
+// radio path and scheduler: the setting where shared-resource contention
+// becomes visible. The UEs are partitioned across N worker shards, each
+// owning its devices' event heap, advancing in lockstep epochs against a
+// hub engine that owns the shared substrates. Remote executions cross the
 // conservative barrier (sim.ShardedEngine) in canonical order, so results
 // are byte-identical at every shard count — including one shard, which is
 // the serial reference the determinism gate diffs against.
@@ -111,12 +113,11 @@ func (p *uePort) Execute(task *model.Task, placement model.Placement, predicted 
 	})
 }
 
-// NewShardedFleet builds n UEs partitioned round-robin (UE i on shard
-// i mod ShardCount) over the configuration's shared substrates. Features
-// that mutate shared or global state from per-UE code paths are not
-// supported at sharded scope and are rejected up front; the supported
-// surface (static policies, retries, prediction noise, DVFS-free local
-// execution) is exactly what the scale experiments use.
+// NewShardedFleet builds n UEs from the device template, partitioned
+// round-robin (UE i on shard i mod ShardCount) over the configuration's
+// shared substrates. Every Config field is honoured or rejected up front,
+// never dropped: features that mutate shared state from per-UE code
+// paths, or would need a new per-UE rng stream, are rejected.
 func NewShardedFleet(cfg Config, n int) (*ShardedFleet, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("core: sharded fleet of %d devices", n)
@@ -152,6 +153,10 @@ func NewShardedFleet(cfg Config, n int) (*ShardedFleet, error) {
 		return nil, fmt.Errorf("core: sharded fleet does not support fault injection")
 	case cfg.DAG != nil:
 		return nil, fmt.Errorf("core: sharded fleet does not support DAG jobs")
+	case cfg.RetryJitter:
+		return nil, fmt.Errorf("core: sharded fleet does not support RetryJitter")
+	case cfg.LocalDVFSMinScale != 0:
+		return nil, fmt.Errorf("core: sharded fleet does not support LocalDVFSMinScale")
 	}
 	if err := cfg.Device.Validate(); err != nil {
 		return nil, err
@@ -227,12 +232,8 @@ func NewShardedFleet(cfg Config, n int) (*ShardedFleet, error) {
 			pred = sched.NewNoisy(pred, src.Split(), cfg.PredictionNoise)
 		}
 		var opts []sched.Option
-		if cfg.Retries > 1 {
-			backoff := cfg.RetryBackoff
-			if backoff <= 0 {
-				backoff = 1
-			}
-			opts = append(opts, sched.WithRetries(sched.RetryPolicy{MaxAttempts: cfg.Retries, Backoff: backoff}))
+		if rp, ok := retryPolicy(cfg); ok {
+			opts = append(opts, sched.WithRetries(rp))
 		}
 		s, err := sched.New(env, policy, pred, opts...)
 		if err != nil {
@@ -273,8 +274,8 @@ func (f *ShardedFleet) Submit(count int, arrivals func(src *rng.Source, ue int) 
 	return nil
 }
 
-// SubmitStreams mirrors Fleet.SubmitStreams: Poisson arrivals at the
-// given per-UE rate, count tasks per UE.
+// SubmitStreams gives every UE Poisson arrivals at the given per-UE rate,
+// tasksPerDevice tasks each.
 func (f *ShardedFleet) SubmitStreams(rate float64, tasksPerDevice int) error {
 	return f.Submit(tasksPerDevice, func(src *rng.Source, _ int) workload.Arrivals {
 		return workload.NewPoisson(src, rate)
@@ -295,8 +296,8 @@ func (f *ShardedFleet) Events() uint64 {
 	return total
 }
 
-// Stats aggregates across the fleet exactly as Fleet.Stats does, in UE
-// order.
+// Stats aggregates across the fleet in UE order, so per-UE histograms
+// merge identically at every shard count.
 func (f *ShardedFleet) Stats() FleetStats { return aggregateStats(f.Schedulers) }
 
 // EnableSpans attaches one span recorder per shard (each single-threaded

@@ -138,6 +138,10 @@ func TestShardedFleetRejectsUnsupported(t *testing.T) {
 		{"fault", func(c *Config) { c.Fault = &fault.Config{} }},
 		{"negative shards", func(c *Config) { c.ShardCount = -1 }},
 		{"negative interval", func(c *Config) { c.ShardInterval = -1 }},
+		{"retry jitter", func(c *Config) { c.Retries, c.RetryJitter = 3, true }},
+		{"local dvfs", func(c *Config) { c.LocalDVFSMinScale = 0.5 }},
+		{"serverless without cloud path", func(c *Config) { c.CloudPath = nil }},
+		{"edge without edge path", func(c *Config) { c.EdgePath = nil }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()

@@ -9,9 +9,10 @@ import (
 
 // E9Scalability reproduces the fleet-scale analysis (Figure 6): one shared
 // serverless region serving a growing fleet of devices, each with its own
-// radio path and deadline-aware scheduler (core.Fleet). Reported: the
-// simulated event count and whether per-task quality metrics stay stable
-// as the fleet grows — shared-platform contention (the account
+// radio path and deadline-aware scheduler (core.ShardedFleet on s.Shards
+// shards; every cell is byte-identical at every shard count). Reported:
+// the simulated event count and whether per-task quality metrics stay
+// stable as the fleet grows — shared-platform contention (the account
 // concurrency limit) is the thing that could break them. Wall-clock
 // throughput is measured by the Runner's per-experiment stats and the
 // bench_test.go benchmarks, not here: table cells must be deterministic
@@ -42,7 +43,8 @@ func E9Scalability(s Scale) ([]*metrics.Table, error) {
 		cfg.Policy = core.PolicyDeadlineAware
 		cfg.Edge, cfg.EdgePath, cfg.VM = nil, nil, nil
 		cfg.ArrivalRateHint = e1Rate
-		fleet, err := core.NewFleet(cfg, k)
+		cfg.ShardCount = s.Shards
+		fleet, err := core.NewShardedFleet(cfg, k)
 		if err != nil {
 			return nil, err
 		}
@@ -52,7 +54,7 @@ func E9Scalability(s Scale) ([]*metrics.Table, error) {
 		fleet.Run()
 
 		st := fleet.Stats()
-		events := fleet.Eng.Fired()
+		events := fleet.Events()
 		costPerTask := 0.0
 		if st.Completed > 0 {
 			costPerTask = st.CostUSD / float64(st.Completed)

@@ -25,7 +25,7 @@ type Scale struct {
 	Devices     int    // E9/E21 fleet bound
 	Seed        uint64 // base RNG seed
 
-	// Shards partitions the sharded-engine experiments (E21) across this
+	// Shards partitions the fleet experiments (E9 and E21) across this
 	// many worker shards (core.ShardedFleet). 0 and 1 both mean one
 	// shard; results are byte-identical at every value, which the
 	// determinism gate exploits by diffing -shards 1 against -shards 7.

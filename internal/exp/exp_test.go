@@ -362,6 +362,23 @@ func TestE9Shape(t *testing.T) {
 	}
 }
 
+// TestE9ShardInvariant: E9 runs on the sharded fleet, so its rendered
+// table must be byte-identical at every shard count, one shard included.
+func TestE9ShardInvariant(t *testing.T) {
+	render := func(shards int) string {
+		s := Quick()
+		s.Shards = shards
+		tables, err := E9Scalability(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tables[0].String() + "\n" + tables[0].CSV()
+	}
+	if ref, got := render(1), render(3); got != ref {
+		t.Errorf("shards=3 output diverged from serial:\n%s\nvs\n%s", got, ref)
+	}
+}
+
 func TestE11Shape(t *testing.T) {
 	tables, err := E11OffPeak(Quick())
 	if err != nil {

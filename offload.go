@@ -138,24 +138,17 @@ type Report = core.Report
 // Observer samples a live System at a fixed simulated-time interval.
 type Observer = core.Observer
 
-// Fleet simulates many devices against shared remote infrastructure.
-type Fleet = core.Fleet
-
 // FleetStats aggregates statistics across a fleet's schedulers.
 type FleetStats = core.FleetStats
 
-// NewFleet builds n devices from cfg's device template, sharing the
-// configured serverless region, edge site and VM fleet.
-func NewFleet(cfg Config, n int) (*Fleet, error) { return core.NewFleet(cfg, n) }
-
-// ShardedFleet is Fleet at million-UE scale: UEs partitioned across
-// Config.ShardCount worker shards in lockstep epochs against a
-// conservative barrier at the hub-owned shared substrates, with results
-// byte-identical at every shard count.
+// ShardedFleet simulates many devices against one shared serverless
+// region, edge site and VM fleet, partitioned across Config.ShardCount
+// worker shards; results are byte-identical at every shard count.
 type ShardedFleet = core.ShardedFleet
 
-// NewShardedFleet builds n devices partitioned across cfg.ShardCount
-// shards (0 and 1 both mean one shard, the serial reference).
+// NewShardedFleet builds n devices from cfg's device template across
+// cfg.ShardCount shards (0 and 1 both mean one), rejecting any Config
+// field the fleet cannot honour.
 func NewShardedFleet(cfg Config, n int) (*ShardedFleet, error) {
 	return core.NewShardedFleet(cfg, n)
 }
