@@ -205,12 +205,16 @@ serve-smoke:
 	/tmp/offctl-smoke scrape -n 5 127.0.0.1:19092 && \
 	kill -TERM $$pid && wait $$pid
 
+# Run every example program, then the offline-to-runtime journey (plan,
+# deploy the manifest, execute the partitioned app as a DAG job) through
+# offctl simulate. CI runs this target.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/videopipeline
 	$(GO) run ./examples/mlbatch
 	$(GO) run ./examples/cicd
 	$(GO) run ./examples/fleet
+	$(GO) run ./cmd/offctl simulate -app ml-batch
 
 clean:
 	$(GO) clean ./...

@@ -8,6 +8,7 @@
 //	offctl plan -spec app.json -out manifest.json
 //	offctl profile -app ml-batch               # demand catalog only
 //	offctl partition -app video-transcode      # partition only
+//	offctl simulate -app ml-batch              # plan, deploy, run once as a DAG job
 //	offctl templates                           # list built-in templates
 //	offctl policies                            # list placement policy names
 //	offctl faults -config faults.json          # print composed fault stacks
@@ -28,8 +29,8 @@ import (
 	"os"
 
 	"offload/internal/callgraph"
-	"offload/internal/chain"
 	"offload/internal/core"
+	"offload/internal/dag"
 	"offload/internal/device"
 	"offload/internal/metrics"
 	"offload/internal/model"
@@ -38,7 +39,6 @@ import (
 	"offload/internal/profile"
 	"offload/internal/rng"
 	"offload/internal/serverless"
-	"offload/internal/sim"
 	"offload/internal/trace"
 )
 
@@ -189,70 +189,48 @@ func main() {
 		return
 
 	case "simulate":
-		if err := simulatePlan(g, *seedFlag, *runsFlag, *noiseFlag); err != nil {
+		if err := simulatePlan(os.Stdout, g, *seedFlag, *runsFlag, *noiseFlag); err != nil {
 			fail(err)
 		}
 		return
 	}
 }
 
-// simulatePlan plans the app, deploys the manifest onto a fresh simulated
-// platform, and executes one run through the chain runner — the full
-// offline-to-runtime journey in one command.
-func simulatePlan(g *callgraph.Graph, seed uint64, runs int, noise float64) error {
-	plan, err := core.PlanApp(g, core.PlanOptions{
+// simulatePlan runs core.SimulatePlan for one application run — plan,
+// deploy the manifest, execute the partitioned app as a DAG job — and
+// prints one row per job node plus a run summary.
+func simulatePlan(w io.Writer, g *callgraph.Graph, seed uint64, runs int, noise float64) error {
+	plan, results, err := core.SimulatePlan(g, core.PlanOptions{
 		Device:       device.Smartphone(),
 		Serverless:   serverless.LambdaLike(),
 		CloudPath:    network.WiFiCloud(),
 		Seed:         seed,
 		ProfileRuns:  runs,
 		ProfileNoise: noise,
-	})
+	}, 1)
 	if err != nil {
 		return err
 	}
-	eng := sim.NewEngine()
-	dev := device.New(eng, device.Smartphone())
-	path := network.New(eng, rng.New(seed+5), network.WiFiCloud())
-	platform := serverless.NewPlatform(eng, rng.New(seed+6), serverless.LambdaLike())
-
-	assignment := plan.Partition.Assignment
-	fns := make(map[string]*serverless.Function)
-	for _, spec := range plan.Manifest.Functions {
-		fn, err := platform.Deploy(serverless.FunctionConfig{
-			Name: spec.Name, MemoryBytes: spec.MemoryBytes,
-		})
-		if err != nil {
-			return err
-		}
-		fns[spec.Component] = fn
-	}
-	runner, err := chain.New(eng, chain.Config{
-		Graph: g, Assignment: assignment, Device: dev, Path: path, Functions: fns,
-	})
-	if err != nil {
-		return err
-	}
-	var res chain.Result
-	runner.Run(func(out chain.Result) { res = out })
-	eng.Run()
-
-	fmt.Printf("app: %s (offloaded: %v)\n\n", plan.App, plan.Remote)
+	res := results[0]
+	fmt.Fprintf(w, "app: %s (offloaded: %v)\n\n", plan.App, plan.Remote)
 	tbl := metrics.NewTable("one simulated run", "component", "side", "start_s", "dur_s", "transfer_s", "usd")
-	for _, cr := range res.Components {
-		side := "device"
-		if cr.Remote {
-			side = "cloud"
+	for id, o := range res.NodeOutcomes {
+		side := "cloud"
+		switch {
+		case o.Task == nil:
+			side = "skipped"
+		case o.Placement == model.PlaceLocal:
+			side = "device"
 		}
-		tbl.AddRow(cr.Name, side,
-			fmt.Sprintf("%.3f", float64(cr.Start)),
-			fmt.Sprintf("%.3f", float64(cr.End.Sub(cr.Start))),
-			fmt.Sprintf("%.3f", cr.TransferS),
-			fmt.Sprintf("%.3g", cr.Exec.CostUSD))
+		tbl.AddRow(res.Job.Node(dag.NodeID(id)).Name, side,
+			fmt.Sprintf("%.3f", float64(o.Started)),
+			fmt.Sprintf("%.3f", float64(o.Finished.Sub(o.Started))),
+			fmt.Sprintf("%.3f", float64(o.UplinkTime+o.DownlinkTime)),
+			fmt.Sprintf("%.6g", o.CostUSD))
 	}
-	fmt.Println(tbl.String())
-	fmt.Printf("run: %.2f s end to end, $%.6g billed, %.0f mJ device energy, %d cut transfers (%d bytes)\n",
-		float64(res.Duration()), res.CostUSD, res.EnergyMilliJ, res.CutEdges, res.BytesMoved)
+	fmt.Fprintln(w, tbl.String())
+	fmt.Fprintf(w, "run: %.2f s makespan, $%.6g billed, %.0f mJ device energy\n",
+		res.MakespanS, res.CostUSD, res.EnergyMilliJ)
 	if res.Failed {
 		return fmt.Errorf("run failed")
 	}

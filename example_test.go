@@ -46,8 +46,8 @@ func ExampleNewSystem() {
 	// completed 20 tasks, 0 deadline misses
 }
 
-// ExampleSimulatePlan plans, deploys and executes an application through
-// the partitioned chain runner.
+// ExampleSimulatePlan plans, deploys and executes an application as a
+// partitioned DAG job.
 func ExampleSimulatePlan() {
 	plan, results, err := offload.SimulatePlan(offload.MLBatch(), offload.PlanOptions{
 		Seed:         7,

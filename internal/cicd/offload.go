@@ -43,7 +43,7 @@ type Manifest struct {
 	Functions []FunctionSpec `json:"functions"`
 }
 
-// MarshalJSON is the manifest's archival format (pretty-printed).
+// Encode renders the manifest in its archival format: indented JSON.
 func (m *Manifest) Encode() ([]byte, error) {
 	return json.MarshalIndent(m, "", "  ")
 }

@@ -11,7 +11,9 @@
 // uploaded again when the consumer dispatches (its InputBytes include
 // them). Every byte therefore crosses the modelled network exactly as the
 // single-task engine prices it, whatever placements the two endpoints
-// got — no new transfer model, no co-placement special case.
+// got — no new transfer model, no co-placement special case. A builder
+// that knows the placements up front (workload.JobFromPartition) zeroes
+// the edges that stay on one side instead, so only cut edges move bytes.
 package dag
 
 import (
@@ -167,6 +169,11 @@ func (j *Job) Node(id NodeID) Node {
 	}
 	return j.nodes[id]
 }
+
+// TaskApp returns the App label of the node's scheduled task,
+// "<job app>/<node name>": the key the scheduler's per-application state
+// (the function pool, the demand predictor) files the node under.
+func (j *Job) TaskApp(id NodeID) string { return j.app + "/" + j.Node(id).Name }
 
 // Lookup returns the ID for a node name.
 func (j *Job) Lookup(name string) (NodeID, bool) {

@@ -235,7 +235,7 @@ func (o *Orchestrator) release(st *jobState, nid NodeID) {
 	in, out := st.job.TaskSizes(nid)
 	task := &model.Task{
 		ID:               st.base + 1 + model.TaskID(nid),
-		App:              st.job.App() + "/" + node.Name,
+		App:              st.job.TaskApp(nid),
 		Component:        node.Name,
 		InputBytes:       in,
 		OutputBytes:      out,

@@ -31,6 +31,18 @@ func (Oblivious) Name() string { return "oblivious" }
 // Place implements Placer by declining to plan.
 func (Oblivious) Place(*Job, *sched.Env, sched.Predictor) []model.Placement { return nil }
 
+// Fixed is a plan made before the job exists: node i runs at Fixed[i].
+// An offline partition reaches the orchestrator this way.
+type Fixed []model.Placement
+
+var _ Placer = Fixed(nil)
+
+// Name implements Placer.
+func (Fixed) Name() string { return "fixed" }
+
+// Place implements Placer by returning the plan.
+func (f Fixed) Place(*Job, *sched.Env, sched.Predictor) []model.Placement { return f }
+
 // Rank is HEFT-style upward-rank list scheduling. Each node's mean
 // execution estimate across the available placements feeds its upward
 // rank (the length of the longest estimate-weighted path to an exit

@@ -3,17 +3,15 @@ package exp
 import (
 	"fmt"
 
-	"offload/internal/alloc"
 	"offload/internal/callgraph"
-	"offload/internal/chain"
+	"offload/internal/core"
+	"offload/internal/dag"
 	"offload/internal/device"
 	"offload/internal/metrics"
 	"offload/internal/model"
 	"offload/internal/network"
 	"offload/internal/partition"
-	"offload/internal/rng"
 	"offload/internal/serverless"
-	"offload/internal/sim"
 	"offload/internal/workload"
 )
 
@@ -37,20 +35,60 @@ func E15Granularity(s Scale) ([]*metrics.Table, error) {
 	const runs = 5
 	for _, app := range []string{"ml-batch", "sci-batch", "report-gen"} {
 		g := callgraph.Templates()[app]
-		mono, err := runMonolithic(s, g, runs)
-		if err != nil {
-			return nil, err
+		for _, v := range e15Variants(s.Seed) {
+			job, placements, err := v.build(g)
+			if err != nil {
+				return nil, err
+			}
+			r, err := runGranularity(v.seed, job, placements, serverless.LambdaLike(), runs)
+			if err != nil {
+				return nil, err
+			}
+			tbl.AddRow(app, v.name, fmt.Sprintf("%d", r.functions),
+				seconds(r.meanS), usd(r.meanUSD), fmtMilliJ(r.meanMJ))
 		}
-		tbl.AddRow(app, "monolithic", "1",
-			seconds(mono.meanS), usd(mono.meanUSD), fmtMilliJ(mono.meanMJ))
-		per, err := runPerComponent(s, g, runs)
-		if err != nil {
-			return nil, err
-		}
-		tbl.AddRow(app, "per-component", fmt.Sprintf("%d", per.functions),
-			seconds(per.meanS), usd(per.meanUSD), fmtMilliJ(per.meanMJ))
 	}
 	return []*metrics.Table{tbl}, nil
+}
+
+// e15Variant is one deployment granularity: how the app becomes a job,
+// and the seed of its fresh rig.
+type e15Variant struct {
+	name  string
+	build func(*callgraph.Graph) (*dag.Job, []model.Placement, error)
+	seed  uint64
+}
+
+func e15Variants(seed uint64) []e15Variant {
+	return []e15Variant{
+		{"monolithic", monolithicJob, seed},
+		{"per-component", perComponentJob, seed + 100},
+	}
+}
+
+// perComponentJob is the app as the CI/CD manifest deploys it: every
+// non-pinned component a node on its own function.
+func perComponentJob(g *callgraph.Graph) (*dag.Job, []model.Placement, error) {
+	return workload.JobFromPartition(g, partition.AllRemote(g))
+}
+
+// monolithicJob is the app as the aggregate task the function pool would
+// build: one node, and so one function sized for the whole offloadable
+// side.
+func monolithicJob(g *callgraph.Graph) (*dag.Job, []model.Placement, error) {
+	tmpl, err := workload.FromGraph(g)
+	if err != nil {
+		return nil, nil, err
+	}
+	job := dag.New(g.Name(), tmpl.Deadline)
+	if _, err := job.AddNode(dag.Node{
+		Name: "all", Cycles: tmpl.MeanCycles, MemoryBytes: tmpl.MemoryBytes,
+		InputBytes: tmpl.InputBytes, OutputBytes: tmpl.OutputBytes,
+		ParallelFraction: tmpl.ParallelFraction,
+	}); err != nil {
+		return nil, nil, err
+	}
+	return job, []model.Placement{model.PlaceFunction}, nil
 }
 
 type granResult struct {
@@ -58,138 +96,36 @@ type granResult struct {
 	functions              int
 }
 
-func e15Fixture(seed uint64) (*sim.Engine, *device.Device, *network.Path, *serverless.Platform) {
-	eng := sim.NewEngine()
-	dev := device.New(eng, device.Smartphone())
-	path := network.New(eng, rng.New(seed+1), network.WiFiCloud())
-	platform := serverless.NewPlatform(eng, rng.New(seed+2), serverless.LambdaLike())
-	return eng, dev, path, platform
-}
-
-// runMonolithic executes the app as the aggregate task the function pool
-// would build: one function sized for the whole offloadable side.
-func runMonolithic(s Scale, g *callgraph.Graph, runs int) (granResult, error) {
-	eng, dev, path, platform := e15Fixture(s.Seed)
-	tmpl, err := workload.FromGraph(g)
+// runGranularity executes runs sequential runs of the job on a fresh rig
+// whose pool sizes every remote node's function from its demand. A failed
+// run fails the cell: its partial cost and time are no run's.
+func runGranularity(seed uint64, job *dag.Job, placements []model.Placement, sl serverless.Config, runs int) (granResult, error) {
+	results, err := core.JobRig{
+		Device:       device.Smartphone(),
+		CloudPath:    network.WiFiCloud(),
+		Serverless:   sl,
+		PathSeed:     seed + 1,
+		PlatformSeed: seed + 2,
+	}.Run(job, placements, runs)
 	if err != nil {
 		return granResult{}, err
 	}
-	allocator := alloc.New(platform.Config())
-	dec, err := allocator.Choose(alloc.Request{
-		Cycles:           tmpl.MeanCycles,
-		ParallelFraction: tmpl.ParallelFraction,
-		MemoryFloorBytes: tmpl.MemoryBytes,
-		ColdStartProb:    1,
-	})
-	if err != nil {
-		return granResult{}, err
-	}
-	fn, err := platform.Deploy(serverless.FunctionConfig{
-		Name: g.Name() + "-all", MemoryBytes: dec.MemoryBytes,
-	})
-	if err != nil {
-		return granResult{}, err
-	}
-
 	var out granResult
-	out.functions = 1
-	var durS, usdSum, mj float64
-	var runOnce func(i int)
-	runOnce = func(i int) {
-		if i >= runs {
-			return
+	for _, p := range placements {
+		if p == model.PlaceFunction {
+			out.functions++
 		}
-		start := eng.Now()
-		task := &model.Task{
-			App: g.Name(), Cycles: tmpl.MeanCycles,
-			MemoryBytes: tmpl.MemoryBytes, ParallelFraction: tmpl.ParallelFraction,
-			InputBytes: tmpl.InputBytes, OutputBytes: tmpl.OutputBytes,
-		}
-		path.Transfer(task.InputBytes, network.Uplink, func(up network.Report) {
-			mj += dev.RadioEnergyMilliJ(up.Duration(), true)
-			fn.Execute(task, func(rep model.ExecReport) {
-				usdSum += rep.CostUSD
-				path.Transfer(task.OutputBytes, network.Downlink, func(down network.Report) {
-					mj += dev.RadioEnergyMilliJ(down.Duration(), false)
-					durS += float64(eng.Now().Sub(start))
-					runOnce(i + 1)
-				})
-			})
-		})
 	}
-	runOnce(0)
-	eng.Run()
-	out.meanS = durS / float64(runs)
-	out.meanUSD = usdSum / float64(runs)
-	out.meanMJ = mj / float64(runs)
-	return out, nil
-}
-
-// runPerComponent executes the app through the chain runner with every
-// non-pinned component on its own allocator-sized function.
-func runPerComponent(s Scale, g *callgraph.Graph, runs int) (granResult, error) {
-	eng, dev, path, platform := e15Fixture(s.Seed + 100)
-	allocator := alloc.New(platform.Config())
-	assignment := partition.AllRemote(g)
-	fns := make(map[string]*serverless.Function)
-	count := 0
-	for i, remote := range assignment {
-		if !remote {
-			continue
+	for i, res := range results {
+		if res.Failed {
+			return granResult{}, fmt.Errorf("e15: %s run %d failed", job.App(), i)
 		}
-		comp := g.Component(callgraph.ComponentID(i))
-		dec, err := allocator.Choose(alloc.Request{
-			Cycles:           comp.Cycles * comp.CallsPerRun,
-			ParallelFraction: comp.ParallelFraction,
-			MemoryFloorBytes: comp.MemoryBytes,
-			ColdStartProb:    1,
-		})
-		if err != nil {
-			return granResult{}, err
-		}
-		fn, err := platform.Deploy(serverless.FunctionConfig{
-			Name: g.Name() + "-" + comp.Name, MemoryBytes: dec.MemoryBytes,
-		})
-		if err != nil {
-			return granResult{}, err
-		}
-		fns[comp.Name] = fn
-		count++
+		out.meanS += res.MakespanS
+		out.meanUSD += res.CostUSD
+		out.meanMJ += res.EnergyMilliJ
 	}
-	runner, err := chain.New(eng, chain.Config{
-		Graph: g, Assignment: assignment, Device: dev, Path: path, Functions: fns,
-	})
-	if err != nil {
-		return granResult{}, err
-	}
-
-	var out granResult
-	out.functions = count
-	var durS, usdSum, mj float64
-	var runErr error
-	var runOnce func(i int)
-	runOnce = func(i int) {
-		if i >= runs {
-			return
-		}
-		runner.Run(func(res chain.Result) {
-			if res.Failed {
-				runErr = fmt.Errorf("e15: %s chain run %d failed", g.Name(), i)
-				return
-			}
-			durS += float64(res.Duration())
-			usdSum += res.CostUSD
-			mj += res.EnergyMilliJ
-			runOnce(i + 1)
-		})
-	}
-	runOnce(0)
-	eng.Run()
-	if runErr != nil {
-		return granResult{}, runErr
-	}
-	out.meanS = durS / float64(runs)
-	out.meanUSD = usdSum / float64(runs)
-	out.meanMJ = mj / float64(runs)
+	out.meanS /= float64(runs)
+	out.meanUSD /= float64(runs)
+	out.meanMJ /= float64(runs)
 	return out, nil
 }

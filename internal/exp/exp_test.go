@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"offload/internal/callgraph"
 	"offload/internal/metrics"
+	"offload/internal/serverless"
 )
 
 // rows parses a table's CSV back into cells for shape assertions.
@@ -551,6 +553,21 @@ func TestE15Shape(t *testing.T) {
 		m, p := num(t, mono[runUSD]), num(t, per[runUSD])
 		if p > 2*m || m > 2*p {
 			t.Errorf("%s: granularity cost cliff: mono $%g vs per $%g", a, m, p)
+		}
+	}
+}
+
+func TestE15FailedRunFailsCell(t *testing.T) {
+	sl := serverless.LambdaLike()
+	sl.FailureRate = 0.9999
+	g := callgraph.MLBatch()
+	for _, v := range e15Variants(1) {
+		job, placements, err := v.build(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := runGranularity(v.seed, job, placements, sl, 5); err == nil {
+			t.Errorf("%s: failed invocations counted as runs", v.name)
 		}
 	}
 }

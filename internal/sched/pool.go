@@ -82,63 +82,68 @@ func (p *FunctionPool) request(task *model.Task, predictedCycles float64) alloc.
 func (p *FunctionPool) For(task *model.Task, pred Predictor) (*serverless.Function, error) {
 	predicted := pred.PredictCycles(task)
 	entry, ok := p.byApp[task.App]
-	if ok {
-		if p.RedeployTolerance > 0 && drift(predicted, entry.sizedCycles) > p.RedeployTolerance {
-			if err := p.deploy(task, predicted, entry); err != nil {
-				return nil, err
-			}
-			p.redeploys++
-		}
+	if ok && !(p.RedeployTolerance > 0 && drift(predicted, entry.sizedCycles) > p.RedeployTolerance) {
 		return entry.fn, nil
 	}
-	entry = &poolEntry{}
-	if err := p.deploy(task, predicted, entry); err != nil {
+	fn, err := p.deploySized(task, predicted)
+	if err != nil {
 		return nil, err
 	}
-	p.byApp[task.App] = entry
+	if ok {
+		p.redeploys++
+	}
+	return fn, nil
+}
+
+// deploySized deploys the task's function at the size the allocator
+// picks for the predicted demand.
+func (p *FunctionPool) deploySized(task *model.Task, predictedCycles float64) (*serverless.Function, error) {
+	d, err := p.alloc.Choose(p.request(task, predictedCycles))
+	if err != nil {
+		return nil, fmt.Errorf("sizing function for %s: %w", task.App, err)
+	}
+	if err := p.Deploy(task.App, d.MemoryBytes); err != nil {
+		return nil, err
+	}
+	entry := p.byApp[task.App]
+	entry.sizedCycles = predictedCycles
 	return entry.fn, nil
 }
 
-func (p *FunctionPool) deploy(task *model.Task, predictedCycles float64, entry *poolEntry) error {
-	d, err := p.alloc.Choose(p.request(task, predictedCycles))
-	if err != nil {
-		return fmt.Errorf("sizing function for %s: %w", task.App, err)
-	}
-	fn, err := p.platform.Deploy(serverless.FunctionConfig{
-		Name:                   "app-" + task.App,
-		MemoryBytes:            d.MemoryBytes,
-		ProvisionedConcurrency: p.ProvisionedConcurrency,
-	})
-	if err != nil {
-		return fmt.Errorf("deploying function for %s: %w", task.App, err)
-	}
-	entry.fn = fn
-	entry.sizedCycles = predictedCycles
-	entry.sizedMem = d.MemoryBytes
-	return nil
-}
-
-// Resize re-deploys the app's function at the given memory size — the
-// online memory tuner's lever. memBytes must lie on the platform's ladder
-// (the allocator only proposes ladder sizes). Re-deploying discards warm
-// containers, exactly as a live configuration change would. No-op when the
-// app has no deployed function or the size is unchanged.
-func (p *FunctionPool) Resize(app string, memBytes int64) error {
-	entry, ok := p.byApp[app]
-	if !ok || entry.sizedMem == memBytes {
-		return nil
-	}
+// Deploy (re-)deploys the app's function at a fixed memory size, past the
+// allocator: how a deployment manifest's sizing reaches the pool, and the
+// step behind both allocator sizing and Resize. memBytes must lie on the
+// platform's ladder. Re-deploying discards warm containers, exactly as a
+// live configuration change would.
+func (p *FunctionPool) Deploy(app string, memBytes int64) error {
 	fn, err := p.platform.Deploy(serverless.FunctionConfig{
 		Name:                   "app-" + app,
 		MemoryBytes:            memBytes,
 		ProvisionedConcurrency: p.ProvisionedConcurrency,
 	})
 	if err != nil {
-		return fmt.Errorf("resizing function for %s: %w", app, err)
+		return fmt.Errorf("deploying function for %s: %w", app, err)
+	}
+	entry, ok := p.byApp[app]
+	if !ok {
+		entry = &poolEntry{}
+		p.byApp[app] = entry
 	}
 	entry.fn = fn
 	entry.sizedMem = memBytes
 	return nil
+}
+
+// Resize re-deploys the app's function at the given memory size — the
+// online memory tuner's lever. memBytes must lie on the platform's ladder
+// (the allocator only proposes ladder sizes). No-op when the app has no
+// deployed function or the size is unchanged.
+func (p *FunctionPool) Resize(app string, memBytes int64) error {
+	entry, ok := p.byApp[app]
+	if !ok || entry.sizedMem == memBytes {
+		return nil
+	}
+	return p.Deploy(app, memBytes)
 }
 
 // Sized returns the deployed memory size for an app, or 0 if not deployed.

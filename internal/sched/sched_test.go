@@ -466,6 +466,30 @@ func TestFunctionPoolRedeploysOnDrift(t *testing.T) {
 	_ = memBefore
 }
 
+func TestFunctionPoolDeployPinsSize(t *testing.T) {
+	pool := testEnv(t).Functions
+	const pinned = 3008 * model.MB
+	if err := pool.Deploy("heavy", pinned); err != nil {
+		t.Fatal(err)
+	}
+	fn, err := pool.For(heavyTask(310), Exact{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fn.MemoryBytes() != pinned || pool.Sized("heavy") != pinned {
+		t.Fatalf("For re-sized a deployed function: %d MB", fn.MemoryBytes()/model.MB)
+	}
+	if pool.Deploy("heavy", pinned+1) == nil {
+		t.Fatal("off-ladder size accepted")
+	}
+	if err := pool.Resize("heavy", 1024*model.MB); err != nil || pool.Sized("heavy") != 1024*model.MB {
+		t.Fatalf("Resize: %v, sized %d", err, pool.Sized("heavy"))
+	}
+	if err := pool.Resize("absent", 1024*model.MB); err != nil || pool.Sized("absent") != 0 {
+		t.Fatal("Resize deployed an absent app")
+	}
+}
+
 func TestBatcherAmortisesColdStarts(t *testing.T) {
 	// Two identical environments, one batched, one not; sequential task
 	// streams far apart so every unbatched invocation is cold.

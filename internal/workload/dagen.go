@@ -5,6 +5,8 @@ import (
 
 	"offload/internal/callgraph"
 	"offload/internal/dag"
+	"offload/internal/model"
+	"offload/internal/partition"
 	"offload/internal/rng"
 	"offload/internal/sim"
 )
@@ -208,6 +210,43 @@ func (g *JobGenerator) layeredEdges(nodes, width int) [][2]int {
 // the pinned anchors that close the call graph's loops stay on the
 // device, outside the job.
 func JobFromGraph(g *callgraph.Graph) (*dag.Job, error) {
+	return jobFromGraph(g, nil)
+}
+
+// JobFromPartition is JobFromGraph for a partitioned application: a
+// remote node runs on its own serverless function, a local one on the
+// device, and only edges whose ends sit on different sides (pinned
+// anchors count as local) keep their bytes. The rest become zero-byte
+// precedence edges, so a cut edge is paid once, on the remote end's
+// uplink or downlink leg, and an edge inside either side moves nothing.
+// It also returns the placement of every node, in node order. The
+// assignment must cover every component and keep pinned ones local.
+func JobFromPartition(g *callgraph.Graph, a partition.Assignment) (*dag.Job, []model.Placement, error) {
+	if !a.Valid(g) {
+		return nil, nil, fmt.Errorf("workload: %s: assignment must cover all %d components and keep pinned ones local",
+			g.Name(), g.Len())
+	}
+	job, err := jobFromGraph(g, a)
+	if err != nil {
+		return nil, nil, err
+	}
+	placements := make([]model.Placement, 0, job.Len())
+	for ci, c := range g.Components() {
+		switch {
+		case c.Pinned:
+		case a[ci]:
+			placements = append(placements, model.PlaceFunction)
+		default:
+			placements = append(placements, model.PlaceLocal)
+		}
+	}
+	return job, placements, nil
+}
+
+// jobFromGraph is the body of JobFromGraph and JobFromPartition. A nil
+// assignment keeps every edge's bytes (the device-relay model); otherwise
+// an edge keeps its bytes only across the partition cut.
+func jobFromGraph(g *callgraph.Graph, a partition.Assignment) (*dag.Job, error) {
 	// FromGraph validates the graph, proves there is offloadable work and
 	// supplies the per-application deadline.
 	tmpl, err := FromGraph(g)
@@ -221,6 +260,9 @@ func JobFromGraph(g *callgraph.Graph) (*dag.Job, error) {
 	interiorKey := func(from, to int) int { return from*len(comps) + to }
 	for _, e := range g.Edges() {
 		bytes := int64(float64(e.Bytes) * e.CallsPerRun)
+		if a != nil && a[e.From] == a[e.To] {
+			bytes = 0
+		}
 		fromPinned, toPinned := comps[e.From].Pinned, comps[e.To].Pinned
 		switch {
 		case fromPinned && toPinned:

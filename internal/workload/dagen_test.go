@@ -7,6 +7,7 @@ import (
 	"offload/internal/callgraph"
 	"offload/internal/dag"
 	"offload/internal/model"
+	"offload/internal/partition"
 	"offload/internal/rng"
 	"offload/internal/sim"
 )
@@ -240,6 +241,128 @@ func TestJobFromGraphRejectsCyclicInterior(t *testing.T) {
 	g.MustAddEdge(callgraph.Edge{From: b, To: a, Bytes: 1, CallsPerRun: 1})
 	if _, err := JobFromGraph(g); err == nil {
 		t.Fatal("cyclic offloadable interior accepted")
+	}
+}
+
+// partitionGraph: ui(pinned) → a → b → ui, with a and b offloadable.
+func partitionGraph() *callgraph.Graph {
+	g := callgraph.New("pipe")
+	g.MustAddComponent(callgraph.Component{Name: "ui", Cycles: 1e8, Pinned: true})
+	g.MustAddComponent(callgraph.Component{Name: "a", Cycles: 2e9})
+	g.MustAddComponent(callgraph.Component{Name: "b", Cycles: 4e9})
+	g.MustAddEdge(callgraph.Edge{From: 0, To: 1, Bytes: 1 << 20})
+	g.MustAddEdge(callgraph.Edge{From: 1, To: 2, Bytes: 1 << 18})
+	g.MustAddEdge(callgraph.Edge{From: 2, To: 0, Bytes: 1 << 16})
+	return g
+}
+
+// moved returns the bytes the scheduler's legs carry for the job: the
+// uplink and downlink payloads of its remote nodes. Local nodes move
+// nothing.
+func moved(t *testing.T, job *dag.Job, placements []model.Placement) (up, down int64) {
+	t.Helper()
+	if len(placements) != job.Len() {
+		t.Fatalf("%d placements for %d nodes", len(placements), job.Len())
+	}
+	for id, p := range placements {
+		if p == model.PlaceLocal {
+			continue
+		}
+		in, out := job.TaskSizes(dag.NodeID(id))
+		up += in
+		down += out
+	}
+	return up, down
+}
+
+func TestJobFromPartitionPaysCutEdgesOnce(t *testing.T) {
+	g := partitionGraph()
+	cases := []struct {
+		name       string
+		a          partition.Assignment
+		want       []model.Placement
+		up, down   int64
+		bytesOfA2B int64
+	}{
+		// ui→a goes up, b→ui comes down; a→b stays in the cloud.
+		{"offload a and b", partition.Assignment{false, true, true},
+			[]model.Placement{model.PlaceFunction, model.PlaceFunction}, 1 << 20, 1 << 16, 0},
+		// ui→a goes up, a→b comes down to the device; b→ui is local.
+		{"offload a", partition.Assignment{false, true, false},
+			[]model.Placement{model.PlaceFunction, model.PlaceLocal}, 1 << 20, 1 << 18, 1 << 18},
+		// a→b goes up, b→ui comes down; ui→a is local.
+		{"offload b", partition.Assignment{false, false, true},
+			[]model.Placement{model.PlaceLocal, model.PlaceFunction}, 1 << 18, 1 << 16, 1 << 18},
+	}
+	for _, c := range cases {
+		job, placements, err := JobFromPartition(g, c.a)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		for i := range c.want {
+			if placements[i] != c.want[i] {
+				t.Fatalf("%s: placements %v, want %v", c.name, placements, c.want)
+			}
+		}
+		if up, down := moved(t, job, placements); up != c.up || down != c.down {
+			t.Errorf("%s: moves %d up, %d down; want %d, %d", c.name, up, down, c.up, c.down)
+		}
+		if e := job.Edges(); len(e) != 1 || e[0].Bytes != c.bytesOfA2B {
+			t.Errorf("%s: edges %+v, want one a→b edge of %d bytes", c.name, e, c.bytesOfA2B)
+		}
+	}
+	// The device-relay model JobFromGraph uses charges a→b twice: once
+	// down from a, once up to b.
+	relay, err := JobFromGraph(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up, down := moved(t, relay, []model.Placement{model.PlaceFunction, model.PlaceFunction})
+	if up != 1<<20+1<<18 || down != 1<<18+1<<16 {
+		t.Fatalf("relay model moves %d up, %d down", up, down)
+	}
+}
+
+func TestJobFromPartitionRemoteToRemoteEdgeIsFree(t *testing.T) {
+	g := callgraph.MLBatch()
+	job, placements, err := JobFromPartition(g, partition.AllRemote(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range job.Edges() {
+		if e.Bytes != 0 {
+			t.Errorf("intra-cloud edge %s→%s carries %d bytes",
+				job.Node(e.From).Name, job.Node(e.To).Name, e.Bytes)
+		}
+	}
+	// Only the anchor's edges cross: collector→preprocess up,
+	// postprocess→collector down.
+	if up, down := moved(t, job, placements); up != 16*model.MB || down != 256*model.KB {
+		t.Fatalf("moves %d up, %d down", up, down)
+	}
+}
+
+func TestJobFromPartitionAllLocalMovesNothing(t *testing.T) {
+	g := partitionGraph()
+	job, placements, err := JobFromPartition(g, partition.AllLocal(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, p := range placements {
+		in, out := job.TaskSizes(dag.NodeID(id))
+		if p != model.PlaceLocal || in != 0 || out != 0 {
+			t.Fatalf("node %d: %v with %d in, %d out", id, p, in, out)
+		}
+	}
+}
+
+func TestJobFromPartitionRejectsBadAssignment(t *testing.T) {
+	g := partitionGraph()
+	if _, _, err := JobFromPartition(g, partition.Assignment{false, true}); err == nil {
+		t.Error("wrong-arity assignment accepted")
+	}
+	if _, _, err := JobFromPartition(g, partition.Assignment{true, true, true}); err == nil {
+		t.Error("offloaded pinned component accepted")
 	}
 }
 

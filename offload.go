@@ -36,7 +36,6 @@ package offload
 import (
 	"offload/internal/adapt"
 	"offload/internal/callgraph"
-	"offload/internal/chain"
 	"offload/internal/cicd"
 	"offload/internal/cloudvm"
 	"offload/internal/core"
@@ -322,14 +321,11 @@ func RunDeployPipeline(g *Graph, opts DeployOptions) (DeployResult, error) {
 	return core.RunDeployPipeline(g, opts)
 }
 
-// RunResult is one chain-executed application run: per-component timings,
-// cut-edge transfers, money and device energy.
-type RunResult = chain.Result
-
 // SimulatePlan plans an application, deploys the manifest onto a fresh
-// simulated platform, and executes runs application runs through the
-// partitioned chain.
-func SimulatePlan(g *Graph, opts PlanOptions, runs int) (*Plan, []RunResult, error) {
+// simulated platform, and executes runs application runs as DAG jobs: the
+// offloaded components on their manifest functions, the rest on the
+// device, with only cut edges moving bytes.
+func SimulatePlan(g *Graph, opts PlanOptions, runs int) (*Plan, []JobResult, error) {
 	return core.SimulatePlan(g, opts, runs)
 }
 
